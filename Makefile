@@ -1,8 +1,9 @@
 # Tier-1 verification recipe (see ROADMAP.md). The -race pass covers the
-# packages that run real goroutines under the real execution layer.
-RACE_PKGS = ./internal/omp/ ./internal/exec/ ./internal/mpi/ ./internal/tenancy/ ./internal/device/
+# packages that run real goroutines under the real execution layer, and
+# the simulator, which passes control directly between proc goroutines.
+RACE_PKGS = ./internal/omp/ ./internal/exec/ ./internal/mpi/ ./internal/tenancy/ ./internal/device/ ./internal/sim/
 
-.PHONY: verify build test vet staticcheck race figures bench-smoke trace-smoke
+.PHONY: verify build test vet staticcheck race figures golden-check bench-smoke trace-smoke
 
 verify: build vet staticcheck test race
 
@@ -29,6 +30,16 @@ race:
 
 figures:
 	go run ./cmd/kompbench -quick
+
+# golden-check regenerates every ablation at full scale and compares it
+# byte-for-byte against the checked-in ABLATIONS.txt: virtual results may
+# only move when a change means them to (then regenerate the file with
+# `go run ./cmd/kompbench -ablation all > ABLATIONS.txt`).
+golden-check:
+	@mkdir -p /tmp/komp-golden
+	@go run ./cmd/kompbench -ablation all > /tmp/komp-golden/ABLATIONS.txt 2>/dev/null
+	@cmp /tmp/komp-golden/ABLATIONS.txt ABLATIONS.txt && \
+		echo "golden-check: ABLATIONS.txt byte-identical"
 
 # bench-smoke runs the EPCC figures, the barrier-topology, tasking and
 # affinity ablations, and the per-construct profile twice at -quick scale and

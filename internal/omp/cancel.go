@@ -486,12 +486,15 @@ func (rt *Runtime) armDeadline(tc exec.TC, t *Team) func() {
 	if !ok {
 		return nil
 	}
+	// The event names the region the alarm was armed for: the callback
+	// may still run after the join, while the team is being re-forked.
+	region, level := t.region, int32(t.level)
 	return al.Alarm(ns, func(atc exec.TC) {
 		if t.publishCancel(atc, cancelBitParallel) {
 			sp := rt.spine
 			if sp.Enabled(ompt.Cancel) {
 				sp.Emit(ompt.Event{Kind: ompt.Cancel, Thread: -1, CPU: int32(atc.CPU()),
-					TimeNS: atc.Now(), Region: t.region, Level: int32(t.level),
+					TimeNS: atc.Now(), Region: region, Level: level,
 					Tenant: rt.opts.Tenant,
 					Arg0:   int64(CancelParallel), Arg1: cancelActivated})
 			}

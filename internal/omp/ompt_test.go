@@ -5,6 +5,7 @@ import (
 
 	"github.com/interweaving/komp/internal/exec"
 	"github.com/interweaving/komp/internal/ompt"
+	"github.com/interweaving/komp/internal/sim"
 )
 
 // equivTuple is the layer-independent projection of an event: kinds and
@@ -127,5 +128,42 @@ func BenchmarkForDisabledSpine(b *testing.B) {
 	})
 	if err != nil {
 		b.Fatal(err)
+	}
+}
+
+// Every event a thread emits inside a region — through its final join
+// SyncAcquired and ImplicitTaskEnd — carries the id of the region it
+// entered, even when the master re-forks the hot team before a released
+// worker has finished its post-join emits (on the simulator a worker's
+// futex wake lands after the master has already forked the next region).
+func TestJoinEventsCarryJoinedRegion(t *testing.T) {
+	for _, cancellable := range []bool{false, true} {
+		sp := ompt.NewSpine()
+		rec := ompt.NewRecorder(sp, ompt.ImplicitTaskBegin, ompt.ImplicitTaskEnd,
+			ompt.SyncAcquire, ompt.SyncAcquired)
+		mk := func() exec.Layer { return exec.NewSimLayer(sim.New(8, 7), simCosts()) }
+		run(t, mk, Options{MaxThreads: 8, Spine: sp, Cancellation: cancellable}, func(rt *Runtime, tc exec.TC) {
+			for r := 0; r < 6; r++ {
+				rt.Parallel(tc, 8, func(w *Worker) { w.TC().Charge(int64(100 * w.ThreadNum())) })
+			}
+		})
+		joins := 0
+		for th, evs := range rec.PerThread() {
+			var entered uint64
+			for _, ev := range evs {
+				if ev.Kind == ompt.ImplicitTaskBegin {
+					entered = ev.Region
+				} else if ev.Region != entered {
+					t.Fatalf("cancellable=%v thread %d: %v carries region %d inside region %d",
+						cancellable, th, ev.Kind, ev.Region, entered)
+				}
+				if ev.Kind == ompt.SyncAcquired {
+					joins++
+				}
+			}
+		}
+		if joins != 6*8 {
+			t.Fatalf("cancellable=%v: %d join releases recorded, want %d", cancellable, joins, 6*8)
+		}
 	}
 }

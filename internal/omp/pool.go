@@ -207,6 +207,7 @@ func (p *pool) workerLoop(tc exec.TC, pw *poolWorker) {
 		team := pw.team
 		w := team.workers[pw.slot]
 		w.tc = tc
+		w.region, w.level = team.region, int32(team.level)
 		w.pw = pw
 		w.gid = int32(pw.id)
 		// Region placement: re-pin to this region's assigned CPU (the

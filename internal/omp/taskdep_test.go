@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/interweaving/komp/internal/exec"
 	"github.com/interweaving/komp/internal/ompt"
@@ -250,37 +251,50 @@ func TestTaskgroupWaitsForDescendants(t *testing.T) {
 	})
 }
 
+// gatedSibling creates, from the master, a task that is not a member of
+// the construct opened right after it, and gates it on that construct:
+// the sibling cannot finish until open is set, which the master does
+// once the construct has returned. A construct that wrongly waits on the
+// sibling therefore deadlocks; the sibling gives up after a wall-clock
+// timeout and sets stuck, which the test reports as the violation. The
+// master may run the sibling itself at a scheduling point inside the
+// construct (the spec permits it); it then runs ungated, as it would
+// otherwise wait on itself.
+func gatedSibling(w *Worker, open, stuck *atomic.Bool) {
+	w.Task(func(tw *Worker) {
+		if tw.ThreadNum() == 0 {
+			return
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for !open.Load() {
+			if time.Now().After(deadline) {
+				stuck.Store(true)
+				return
+			}
+			tw.TC().Charge(1000) // lets virtual time advance on the simulator
+			tw.TC().Yield()
+		}
+	})
+}
+
 func TestTaskgroupIgnoresOutsideSiblings(t *testing.T) {
 	// A task created before the group opens is not a member: the group
-	// must complete without it. The sibling charges far more virtual
-	// time than the whole group, so on the simulator it is provably
-	// still in flight (or unstarted) when the group closes — unless the
-	// master itself picked it up at a scheduling point, which the spec
-	// permits; that case is skipped rather than misreported.
+	// must complete without it.
 	forBothLayers(t, Options{MaxThreads: 8, Bind: true}, func(rt *Runtime, tc exec.TC) {
-		var sibDone atomic.Int64
-		var sibRunBy atomic.Int64
-		sibRunBy.Store(-1)
-		var violated atomic.Int64
+		var open, stuck atomic.Bool
 		rt.Parallel(tc, 8, func(w *Worker) {
 			w.Master(func() {
-				w.Task(func(tw *Worker) {
-					sibRunBy.Store(int64(tw.ThreadNum()))
-					tw.TC().Charge(5_000_000)
-					sibDone.Store(1)
-				})
+				gatedSibling(w, &open, &stuck)
 				w.Taskgroup(func(gw *Worker) {
 					for i := 0; i < 20; i++ {
 						gw.Task(func(tw *Worker) { tw.TC().Charge(1000) })
 					}
 				})
-				if sibRunBy.Load() != 0 && sibDone.Load() == 1 {
-					violated.Store(1)
-				}
+				open.Store(true)
 			})
 			w.Barrier()
 		})
-		if violated.Load() != 0 {
+		if stuck.Load() {
 			t.Error("taskgroup end waited for a task created before the group opened")
 		}
 	})
@@ -292,35 +306,25 @@ func TestTaskloopNotBlockedByPriorSibling(t *testing.T) {
 	// task created before the taskloop stalled it. With the implicit
 	// taskgroup it must return as soon as its own tasks are done.
 	forBothLayers(t, Options{MaxThreads: 8, Bind: true}, func(rt *Runtime, tc exec.TC) {
-		var sibDone atomic.Int64
-		var sibRunBy atomic.Int64
-		sibRunBy.Store(-1)
+		var open, stuck atomic.Bool
 		var covered atomic.Int64
-		var violated atomic.Int64
+		var early atomic.Bool
 		rt.Parallel(tc, 8, func(w *Worker) {
 			w.Master(func() {
-				w.Task(func(tw *Worker) {
-					sibRunBy.Store(int64(tw.ThreadNum()))
-					tw.TC().Charge(5_000_000)
-					sibDone.Store(1)
-				})
+				gatedSibling(w, &open, &stuck)
 				w.Taskloop(0, 40, TaskloopOpt{}, func(tw *Worker, i int) {
 					tw.TC().Charge(1000)
 					covered.Add(1)
 				})
-				if covered.Load() != 40 {
-					violated.Store(1) // the loop's own tasks were not awaited
-				}
-				if sibRunBy.Load() != 0 && sibDone.Load() == 1 {
-					violated.Store(2) // the loop waited on the unrelated sibling
-				}
+				early.Store(covered.Load() != 40) // the loop's own tasks were not awaited
+				open.Store(true)
 			})
 			w.Barrier()
 		})
-		switch violated.Load() {
-		case 1:
+		if early.Load() {
 			t.Error("taskloop returned before its own tasks completed")
-		case 2:
+		}
+		if stuck.Load() {
 			t.Error("taskloop blocked on a pre-existing sibling task")
 		}
 	})

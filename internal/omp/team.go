@@ -185,6 +185,7 @@ func (rt *Runtime) parallel(tc exec.TC, parent *Worker, n int, fn func(*Worker))
 		stop := rt.armDeadline(tc, team)
 		w := team.workers[0]
 		w.tc = tc
+		w.region, w.level = region, int32(team.level)
 		w.gid = masterGid(parent)
 		if parent != nil {
 			// Register as the parent's sub-team so an outer cancel
@@ -217,6 +218,7 @@ func (rt *Runtime) parallel(tc exec.TC, parent *Worker, n int, fn func(*Worker))
 		stop := rt.armDeadline(tc, team)
 		master := team.workers[0]
 		master.tc = tc
+		master.region, master.level = region, int32(team.level)
 		master.gid = masterGid(parent)
 		if parent != nil {
 			parent.sub.Store(team)
@@ -532,6 +534,13 @@ type Worker struct {
 	// slots, -1 for the encountering thread and the masters of every
 	// team it forks down the nesting chain.
 	gid int32
+	// region and level snapshot the team's spine region id and nesting
+	// level when this thread enters the region; every event it emits
+	// carries them. A worker released from the join may still be
+	// emitting while the master re-forks the team and rewrites
+	// Team.region, so the emit helpers never read the Team's copy.
+	region uint64
+	level  int32
 
 	// sub is the inner team this worker is currently master of (set for
 	// the duration of a nested Parallel, nil otherwise): cancel

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -99,6 +100,83 @@ func BenchmarkAlarmCancel(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// procSwitchCases are the two ways control moves between proc
+// goroutines: a Park/Unpark ping-pong, where each event resumes the
+// other proc (a cross-goroutine handoff), and a lone proc looping
+// Compute, where each event is the blocking proc's own and it carries on
+// with no switch. In both, each virtual nanosecond is one event and one
+// resume; the procs retire once their clock reaches *limit.
+var procSwitchCases = []struct {
+	name  string
+	build func(limit *Time) *Sim
+}{
+	{"pingpong", func(limit *Time) *Sim {
+		s := New(2, 1)
+		var ping, pong *Proc
+		loop := func(p *Proc, peer **Proc) {
+			for p.Now() < *limit {
+				s.Unpark(*peer, p.Now()+1)
+				p.Park()
+			}
+			if (*peer).State() == StateBlocked {
+				s.Unpark(*peer, p.Now())
+			}
+		}
+		pong = s.Go("pong", 1, 0, func(p *Proc) {
+			p.Park()
+			loop(p, &ping)
+		})
+		ping = s.Go("ping", 0, 0, func(p *Proc) { loop(p, &pong) })
+		return s
+	}},
+	{"own", func(limit *Time) *Sim {
+		s := New(1, 1)
+		s.Go("compute", 0, 0, func(p *Proc) {
+			for p.Now() < *limit {
+				p.Compute(1)
+			}
+		})
+		return s
+	}},
+}
+
+// BenchmarkProcSwitch measures the host cost of one proc resume under
+// Run: ns/op is ns per switch (events/op confirms one event each).
+func BenchmarkProcSwitch(b *testing.B) {
+	for _, c := range procSwitchCases {
+		b.Run(c.name, func(b *testing.B) {
+			limit := Time(math.MaxInt64)
+			s := c.build(&limit)
+			s.RunUntil(64) // start the procs and warm the free list
+			limit = 64 + Time(b.N)
+			base := s.EventsFired()
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := s.Run(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(s.EventsFired()-base)/float64(b.N), "events/op")
+		})
+	}
+}
+
+// Both switch paths stay allocation-free in the steady state.
+func TestProcSwitchZeroAlloc(t *testing.T) {
+	for _, c := range procSwitchCases {
+		limit := Time(math.MaxInt64)
+		s := c.build(&limit)
+		s.RunUntil(64)
+		if a := testing.AllocsPerRun(50, func() { s.RunUntil(s.Now() + 64) }); a != 0 {
+			t.Errorf("%s: %.1f allocs per 64 switches, want 0", c.name, a)
+		}
+		limit = 0
+		if err := s.Run(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
 	}
 }

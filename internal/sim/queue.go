@@ -76,7 +76,7 @@ type eventNode struct {
 	gen       uint32 // recycle generation (lazy-deletion cancel safety)
 	cancelled bool   // discarded on pop without advancing the clock
 	proc      *Proc  // proc to resume, or nil if fn-only
-	fn        func() // optional callback run on the scheduler goroutine
+	fn        func() // optional callback, run inline by the event loop
 	next      *eventNode
 }
 

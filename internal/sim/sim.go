@@ -170,11 +170,17 @@ type Sim struct {
 	cpus   []*CPU
 	nextID int
 
-	yield   chan struct{} // proc -> scheduler: "I have blocked or exited"
+	// One goroutine holds control at a time, Run's caller or a proc; it
+	// passes on by a send to a proc's resume, or to yield for Run's caller.
+	yield   chan struct{} // -> Run/RunUntil: "the event loop stopped"
 	running *Proc
-	live    int // procs not yet done
-	blocked map[int]*Proc
+	live    int           // procs not yet done
 	procs   map[int]*Proc // all live procs, for diagnostics and Kill
+
+	// until is the horizon of the current RunUntil (forever under Run);
+	// err is a watchdog stall raised inside the event loop, for Run.
+	until Time
+	err   error
 
 	// watchdogNS is the per-proc progress deadline (0: disabled): a proc
 	// blocked with no pending event for longer than this aborts Run with
@@ -183,7 +189,7 @@ type Sim struct {
 	wdNext     Time
 	// noEvent counts procs blocked with no pending wake-up event — the
 	// only procs a watchdog or deadlock report can name. The check scans
-	// the blocked set only when this is non-zero (the queue-quiescence
+	// the procs only when this is non-zero (the queue-quiescence
 	// fast path) and the conservative earliest block time is old enough
 	// to possibly have breached the deadline.
 	noEvent int
@@ -214,7 +220,6 @@ func NewEQ(ncpu int, seed int64, algo EQAlgo) *Sim {
 		algo:       algo,
 		rng:        rand.New(rand.NewSource(seed)),
 		yield:      make(chan struct{}),
-		blocked:    make(map[int]*Proc),
 		procs:      make(map[int]*Proc),
 		wdEarliest: math.MaxInt64,
 	}
@@ -302,7 +307,7 @@ func (s *Sim) schedule(at Time, p *Proc, fn func()) {
 	s.eq.push(s.newNode(at, p, fn))
 }
 
-// At schedules fn to run on the scheduler at virtual time at (clamped to
+// At schedules fn to run in the event loop at virtual time at (clamped to
 // now). Use it for interrupts, timers, and other asynchronous machinery.
 func (s *Sim) At(at Time, fn func()) { s.schedule(at, nil, fn) }
 
@@ -373,53 +378,93 @@ func (s *Sim) Go(name string, cpu int, start Time, fn func(p *Proc)) *Proc {
 		start = s.now
 	}
 	go func() {
-		// The deferred handshake also fires if fn unwinds via
-		// runtime.Goexit (e.g. t.Fatal on a proc goroutine, or a proc
-		// condemned by Kill), so the scheduler never deadlocks waiting
-		// for a vanished proc.
-		done := false
+		// The deferred exit also runs if fn unwinds via runtime.Goexit
+		// (t.Fatal, or Kill), so control always passes on from a proc.
 		defer func() {
 			if r := recover(); r != nil {
 				panic(r)
 			}
-			if !done {
-				p.state = StateDone
-				s.live--
-				s.yield <- struct{}{}
-			}
+			p.state = StateDone
+			s.live--
+			delete(s.procs, p.ID)
+			s.handoff(s.next())
 		}()
 		<-p.resume // wait for first dispatch
 		if !p.killed {
 			fn(p)
 		}
-		p.state = StateDone
-		s.live--
-		done = true
-		s.yield <- struct{}{}
 	}()
 	p.state = StateRunnable
 	s.schedule(start, p, nil)
 	return p
 }
 
-// dispatch resumes proc p and waits until it blocks or exits.
-func (s *Sim) dispatch(p *Proc) {
-	if p.state == StateDone {
-		return
+// forever is the horizon of Run: no event is too late.
+const forever = Time(math.MaxInt64)
+
+// next is the event loop, run by whichever goroutine holds control. It
+// pops events in (at, seq) order, runs callbacks inline, and returns the
+// next proc to resume, marked running — or nil when the queue is empty,
+// the next event lies past the horizon, or the watchdog set s.err.
+func (s *Sim) next() *Proc {
+	s.running = nil
+	for {
+		if s.until != forever {
+			if at, ok := s.eq.peekTime(); !ok || at > s.until {
+				return nil
+			}
+		}
+		n := s.eq.pop()
+		if n == nil {
+			return nil
+		}
+		if n.cancelled {
+			s.freeNode(n)
+			continue
+		}
+		s.now = n.at
+		s.fired++
+		if s.watchdogNS > 0 && s.now >= s.wdNext && s.until == forever {
+			if s.err = s.watchdogCheck(); s.err != nil {
+				s.freeNode(n)
+				return nil
+			}
+		}
+		fn, p := n.fn, n.proc
+		s.freeNode(n)
+		if fn != nil {
+			fn()
+			continue
+		}
+		if p == nil || p.state == StateDone {
+			continue
+		}
+		p.hasEvent, p.state, p.waitReason = false, StateRunning, ""
+		if p.now < s.now {
+			p.now = s.now
+		}
+		s.running = p
+		return p
 	}
-	p.state = StateRunning
-	p.waitReason = ""
-	if p.now < s.now {
-		p.now = s.now
+}
+
+// handoff passes control to proc q, or back to Run's caller when q is nil.
+// The caller must not touch simulator state afterwards.
+func (s *Sim) handoff(q *Proc) {
+	if q == nil {
+		s.yield <- struct{}{}
+	} else {
+		q.resume <- struct{}{}
 	}
-	prev := s.running
-	s.running = p
-	p.resume <- struct{}{}
-	<-s.yield
-	s.running = prev
-	if p.state == StateDone {
-		delete(s.procs, p.ID)
-		delete(s.blocked, p.ID)
+}
+
+// drive starts the event loop from Run's caller; procs carry it on, and
+// control returns here once it stops.
+func (s *Sim) drive(until Time) {
+	s.until, s.err = until, nil
+	if p := s.next(); p != nil {
+		s.handoff(p)
+		<-s.yield
 	}
 }
 
@@ -427,68 +472,17 @@ func (s *Sim) dispatch(p *Proc) {
 // procs remain blocked with an empty event queue (deadlock), or — when a
 // watchdog is set — if a proc misses its progress deadline (stall).
 func (s *Sim) Run() error {
-	for {
-		n := s.eq.pop()
-		if n == nil {
-			break
-		}
-		if n.cancelled {
-			s.freeNode(n)
-			continue
-		}
-		s.now = n.at
-		s.fired++
-		if s.watchdogNS > 0 && s.now >= s.wdNext {
-			if err := s.watchdogCheck(); err != nil {
-				s.freeNode(n)
-				return err
-			}
-		}
-		fn, p := n.fn, n.proc
-		s.freeNode(n)
-		if fn != nil {
-			fn()
-			continue
-		}
-		if p != nil {
-			delete(s.blocked, p.ID)
-			p.hasEvent = false
-			s.dispatch(p)
-		}
-	}
-	if s.live > 0 {
+	s.drive(forever)
+	if s.err == nil && s.live > 0 {
 		return s.deadlockError()
 	}
-	return nil
+	return s.err
 }
 
 // RunUntil processes events with time ≤ t, then returns. The clock is
-// advanced to t.
+// advanced to t. The watchdog is not consulted.
 func (s *Sim) RunUntil(t Time) {
-	for {
-		at, ok := s.eq.peekTime()
-		if !ok || at > t {
-			break
-		}
-		n := s.eq.pop()
-		if n.cancelled {
-			s.freeNode(n)
-			continue
-		}
-		s.now = n.at
-		s.fired++
-		fn, p := n.fn, n.proc
-		s.freeNode(n)
-		if fn != nil {
-			fn()
-			continue
-		}
-		if p != nil {
-			delete(s.blocked, p.ID)
-			p.hasEvent = false
-			s.dispatch(p)
-		}
-	}
+	s.drive(t)
 	if s.now < t {
 		s.now = t
 	}
@@ -511,7 +505,7 @@ func (s *Sim) watchdogCheck() error {
 	if step < 1 {
 		step = 1
 	}
-	// Fast path: scan the blocked set only when some proc is truly
+	// Fast path: scan the procs only when some proc is truly
 	// quiescent (blocked with no pending event) AND the conservative
 	// earliest block time is old enough that the deadline could have
 	// been breached. Runs with every proc reachable from the queue —
@@ -522,7 +516,7 @@ func (s *Sim) watchdogCheck() error {
 	}
 	s.wdScratch = s.wdScratch[:0]
 	earliest := Time(math.MaxInt64)
-	for _, p := range s.blocked {
+	for _, p := range s.procs {
 		if p.hasEvent || p.state != StateBlocked {
 			continue
 		}
@@ -593,8 +587,10 @@ func (e *StallError) Error() string {
 
 func (s *Sim) deadlockError() error {
 	var stalled []ProcStall
-	for _, p := range s.blocked {
-		stalled = append(stalled, p.stall(s.now))
+	for _, p := range s.procs {
+		if p.state == StateBlocked {
+			stalled = append(stalled, p.stall(s.now))
+		}
 	}
 	sortStalls(stalled)
 	return &StallError{Kind: "deadlock", Now: s.now, Stalled: stalled}
@@ -614,7 +610,7 @@ func (s *Sim) Procs() []*Proc {
 
 // Kill condemns a proc: instead of resuming at its next scheduling
 // point, it exits. A blocked proc is extracted from its wait queue and
-// scheduled to die now; a runnable proc dies at dispatch. Kill models
+// scheduled to die now; a runnable proc dies when it is next resumed. Kill models
 // hard faults (a crashed kernel compartment, a failed CPU) — the victim
 // gets no chance to clean up, exactly like real hardware.
 func (s *Sim) Kill(p *Proc) {
@@ -638,20 +634,23 @@ func (p *Proc) mustBeRunning() {
 	}
 }
 
-// block parks the proc until the scheduler dispatches it again,
-// recording what it is waiting on for stall/deadlock diagnostics. A proc
-// condemned by Kill exits here instead of resuming; the deferred
-// handshake in Go completes the bookkeeping.
+// block parks the proc and runs the event loop on its goroutine until
+// some proc is due: itself (an uncontended Compute or Sleep resumes with
+// no goroutine switch at all), another proc (resumed directly), or none
+// (control returns to Run's caller). A proc condemned by Kill exits here
+// instead of resuming; the deferred exit in Go hands control on.
 func (p *Proc) block(reason string) {
+	s := p.sim
 	p.state = StateBlocked
 	p.waitReason = reason
 	p.blockedSince = p.now
-	p.sim.blocked[p.ID] = p
 	if !p.hasEvent {
-		p.sim.countBlockedNoEvent(p)
+		s.countBlockedNoEvent(p)
 	}
-	p.sim.yield <- struct{}{}
-	<-p.resume
+	if q := s.next(); q != p {
+		s.handoff(q)
+		<-p.resume
+	}
 	if p.killed {
 		runtime.Goexit()
 	}

@@ -1,7 +1,13 @@
 package sim
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -350,5 +356,277 @@ func TestUtilizationReport(t *testing.T) {
 	}
 	if u.Mean != (1.0+0.5)/4 {
 		t.Fatalf("mean = %v", u.Mean)
+	}
+}
+
+// resumeTraceHash runs a seeded mix of every blocking primitive —
+// Compute, Sleep, Yield, Park/Unpark, wait queues, futexes, timer
+// callbacks and cancelled timers — and hashes the (now, proc ID) order
+// in which procs resume. Any change to who runs when changes the hash.
+func resumeTraceHash(t *testing.T, algo EQAlgo, seed int64) uint64 {
+	t.Helper()
+	const workers, iters = 12, 150
+	s := NewEQ(4, seed, algo)
+	s.SetNoise(jitterNoise{})
+	q := NewWaitQueue(s).SetLabel("mix")
+	ft := NewFutexTable(s)
+	var word uint32
+	h := fnv.New64a()
+	var buf [16]byte
+	mark := func(p *Proc) {
+		binary.LittleEndian.PutUint64(buf[:8], uint64(p.Now()))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(p.ID))
+		h.Write(buf[:])
+	}
+	var parked []*Proc
+	done := 0
+	rng := s.RNG()
+	for i := 0; i < workers; i++ {
+		s.Go("w", i%5-1, Time(i*7), func(p *Proc) {
+			defer func() { done++ }()
+			for k := 0; k < iters; k++ {
+				switch rng.Intn(7) {
+				case 0:
+					p.Compute(Time(1 + rng.Intn(300)))
+				case 1:
+					p.Sleep(Time(rng.Intn(200)))
+				case 2:
+					p.Yield()
+				case 3:
+					parked = append(parked, p)
+					p.Park()
+				case 4:
+					q.Wait(p)
+				case 5:
+					ft.Wait(p, &word, word, Time(rng.Intn(40)))
+				case 6:
+					if n := len(parked); n > 0 {
+						j := rng.Intn(n)
+						v := parked[j]
+						parked = append(parked[:j], parked[j+1:]...)
+						s.Unpark(v, p.Now()+Time(rng.Intn(50)))
+					}
+				}
+				mark(p)
+			}
+		})
+	}
+	s.Go("waker", 4-1, 0, func(p *Proc) {
+		for done < workers {
+			p.Compute(Time(20 + rng.Intn(200)))
+			for _, v := range parked {
+				s.Unpark(v, p.Now()+Time(rng.Intn(30)))
+			}
+			parked = parked[:0]
+			if rng.Intn(2) == 0 {
+				q.WakeOne(p.Now(), 5)
+			} else {
+				q.WakeAll(p.Now(), 5, 3)
+			}
+			word++
+			ft.Wake(p, &word, -1, 10, 15, 2)
+			mark(p)
+		}
+	})
+	var tick func()
+	tick = func() {
+		q.WakeOne(s.Now(), 1)
+		cancel := s.AfterCancel(77, func() { t.Error("cancelled timer fired") })
+		cancel()
+		if done < workers {
+			s.After(Time(150+rng.Intn(100)), tick)
+		}
+	}
+	s.After(100, tick)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(buf[:8], uint64(s.Now()))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(s.EventsFired()))
+	h.Write(buf[:])
+	return h.Sum64()
+}
+
+// The resume order of the mix is pinned: the scheduler decides which
+// goroutine runs the event loop, never the order events fire in.
+func TestResumeTraceGolden(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		want uint64
+	}{{1, 0xcb2c559171e4efad}, {104729, 0xd33099a6cdc3c35}} {
+		for _, algo := range []EQAlgo{EQWheel, EQHeap} {
+			if got := resumeTraceHash(t, algo, c.seed); got != c.want {
+				t.Errorf("seed %d %s: resume trace hash %#x, want %#x", c.seed, algo, got, c.want)
+			}
+		}
+	}
+}
+
+// A watchdog stall raised inside the event loop while a proc goroutine
+// holds control (every event here belongs to a proc) reaches Run's
+// caller unchanged, and the simulation stops where the check fired.
+func TestHandoffWatchdogFromProc(t *testing.T) {
+	s := New(2, 1)
+	s.SetWatchdog(1000)
+	s.Go("stuck", 0, 0, func(p *Proc) {
+		p.Compute(10)
+		p.ParkReason("lost wake")
+	})
+	s.Go("spinner", 1, 0, func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			p.Compute(100)
+		}
+	})
+	var se *StallError
+	if err := s.Run(); !errors.As(err, &se) {
+		t.Fatalf("Run = %v, want a *StallError", err)
+	}
+	// Checks at 1000 (990ns blocked: fine) and 1300 (1290ns: stalled).
+	if se.Kind != "watchdog" || se.Now != 1300 || se.Limit != 1000 || s.Now() != 1300 {
+		t.Fatalf("stall kind=%s now=%d limit=%d sim now=%d, want watchdog at 1300/1000",
+			se.Kind, se.Now, se.Limit, s.Now())
+	}
+	if len(se.Stalled) != 1 || se.Stalled[0].Name != "stuck" || se.Stalled[0].Waited != 1290 {
+		t.Fatalf("stalled = %+v, want just 'stuck' after 1290ns", se.Stalled)
+	}
+}
+
+// RunUntil stops at its horizon even when the blocking proc's own next
+// event (the no-switch path) lies beyond it, and a later RunUntil
+// resumes the proc at exactly that event's time.
+func TestHandoffRunUntilOwnEventPastHorizon(t *testing.T) {
+	s := New(1, 1)
+	var woke []Time
+	s.Go("sleeper", 0, 0, func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(300)
+			woke = append(woke, p.Now())
+		}
+	})
+	late := false
+	s.At(550, func() { late = true })
+	s.RunUntil(500)
+	if len(woke) != 1 || woke[0] != 300 || late || s.Now() != 500 {
+		t.Fatalf("after RunUntil(500): woke=%v callback=%v now=%d, want [300] false 500", woke, late, s.Now())
+	}
+	s.RunUntil(1000)
+	if len(woke) != 3 || woke[1] != 600 || woke[2] != 900 || !late || s.Now() != 1000 {
+		t.Fatalf("after RunUntil(1000): woke=%v callback=%v now=%d, want [300 600 900] true 1000", woke, late, s.Now())
+	}
+	if err := s.Run(); err != nil || len(s.Procs()) != 0 {
+		t.Fatalf("Run = %v with %d procs left", err, len(s.Procs()))
+	}
+}
+
+// Kill of a proc whose next event is always its own — it resumes with
+// no goroutine switch — still makes it exit, retires it from the live
+// set, and hands control on to the rest of the simulation.
+func TestHandoffKillOwnEventPath(t *testing.T) {
+	s := New(2, 1)
+	steps := 0
+	victim := s.Go("victim", 0, 0, func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			p.Compute(100)
+			steps++
+		}
+	})
+	self := s.Go("self", 1, 0, func(p *Proc) {
+		p.Compute(50)
+		s.Kill(p)
+		p.Compute(50)
+		t.Error("self-killed proc resumed")
+	})
+	var bystander Time
+	s.Go("bystander", -1, 0, func(p *Proc) {
+		p.Sleep(1000)
+		bystander = p.Now()
+	})
+	s.At(450, func() {
+		s.Kill(victim)
+		if n := len(s.Procs()); n != 2 {
+			t.Errorf("%d procs live at the kill, want 2", n)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if steps != 4 || victim.State() != StateDone || self.State() != StateDone {
+		t.Fatalf("victim ran %d steps (want 4), states %v/%v, want done", steps, victim.State(), self.State())
+	}
+	if bystander != 1000 || s.live != 0 || len(s.Procs()) != 0 {
+		t.Fatalf("bystander woke at %d, live=%d procs=%d; want 1000, 0, 0", bystander, s.live, len(s.Procs()))
+	}
+}
+
+// A proc that exits while others remain queued hands control straight
+// to the next event: the callback after the exit runs on the exiting
+// proc's goroutine, not on the goroutine that called Run.
+func TestHandoffExitSkipsRunCaller(t *testing.T) {
+	s := New(2, 1)
+	s.Go("short", 0, 0, func(p *Proc) { p.Compute(100) })
+	var woke Time
+	s.Go("long", 1, 0, func(p *Proc) {
+		p.Compute(500)
+		woke = p.Now()
+	})
+	var stack string
+	s.At(200, func() {
+		buf := make([]byte, 8<<10)
+		stack = string(buf[:runtime.Stack(buf, false)])
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if woke != 500 {
+		t.Fatalf("long proc woke at %d, want 500", woke)
+	}
+	if strings.Contains(stack, "(*Sim).Run(") || !strings.Contains(stack, "(*Sim).Go.func") {
+		t.Fatalf("callback after the exit ran on Run's caller, not the exiting proc:\n%s", stack)
+	}
+}
+
+// The deadlock report names exactly the procs blocked with no way
+// forward — never one that finished, was killed, or was woken and ran
+// to completion — with their wait reasons, in ID order.
+func TestHandoffDeadlockNamesBlockedProcs(t *testing.T) {
+	s := New(2, 1)
+	q := NewWaitQueue(s).SetLabel("q")
+	ft := NewFutexTable(s)
+	var word uint32
+	s.Go("finished", 0, 0, func(p *Proc) { p.Compute(10) })
+	woken := s.Go("woken", 0, 0, func(p *Proc) {
+		p.Park()
+		p.Compute(10)
+	})
+	killed := s.Go("killed", 1, 0, func(p *Proc) { q.Wait(p) })
+	s.Go("parked", 1, 0, func(p *Proc) {
+		p.Compute(20)
+		p.ParkReason("parked forever")
+	})
+	s.Go("queued", 0, 0, func(p *Proc) {
+		p.Compute(30)
+		q.Wait(p)
+	})
+	s.Go("futex", -1, 0, func(p *Proc) { ft.Wait(p, &word, 0, 40) })
+	s.Go("waker", -1, 0, func(p *Proc) {
+		p.Sleep(100)
+		s.Kill(killed)
+		s.Unpark(woken, p.Now())
+	})
+	err := s.Run()
+	var se *StallError
+	if !errors.As(err, &se) || se.Kind != "deadlock" {
+		t.Fatalf("Run = %v, want a deadlock", err)
+	}
+	var got []string
+	for _, st := range se.Stalled {
+		got = append(got, fmt.Sprintf("%s#%d:%s@%d", st.Name, st.ID, st.Reason, st.Since))
+	}
+	want := []string{"parked#4:parked forever@20", "queued#5:waitqueue q@40", "futex#6:waitqueue futex@40"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("deadlock names %v, want %v", got, want)
+	}
+	if n := len(s.Procs()); n != 3 {
+		t.Fatalf("%d live procs, want the 3 deadlocked", n)
 	}
 }
