@@ -1,9 +1,10 @@
 # Tier-1 verification recipe (see ROADMAP.md). The -race pass covers the
-# packages that run real goroutines under the real execution layer, and
-# the simulator, which passes control directly between proc goroutines.
-RACE_PKGS = ./internal/omp/ ./internal/exec/ ./internal/mpi/ ./internal/tenancy/ ./internal/device/ ./internal/sim/
+# packages that run real goroutines under the real execution layer (the
+# root package's service tests included), and the simulator, whose procs
+# are coroutines resumed from the caller of Run.
+RACE_PKGS = . ./internal/omp/ ./internal/exec/ ./internal/mpi/ ./internal/tenancy/ ./internal/device/ ./internal/sim/
 
-.PHONY: verify build test vet staticcheck race figures golden-check bench-smoke trace-smoke
+.PHONY: verify build test vet staticcheck race race-stress figures golden-check bench-smoke trace-smoke
 
 verify: build vet staticcheck test race
 
@@ -27,6 +28,15 @@ test:
 
 race:
 	go test -race $(RACE_PKGS)
+
+# race-stress repeats the -race pass 20 times at GOMAXPROCS 1, 2 and 8,
+# so schedule-dependent races show up on any machine; GOMAXPROCS=1 also
+# covers coroutine switching with a single P.
+race-stress:
+	@for procs in 1 2 8; do \
+		echo "race-stress: GOMAXPROCS=$$procs"; \
+		GOMAXPROCS=$$procs go test -race -count=20 $(RACE_PKGS) || exit 1; \
+	done
 
 figures:
 	go run ./cmd/kompbench -quick

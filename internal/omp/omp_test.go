@@ -291,6 +291,24 @@ func TestAtomicCounter(t *testing.T) {
 	})
 }
 
+// Atomic bodies exclude each other on the real layer: unsynchronized
+// increments of a plain int inside Atomic lose no update and are clean
+// under -race.
+func TestAtomicSerializesRealLayer(t *testing.T) {
+	const workers, iters = 4, 10_000
+	run(t, testLayers()["real"], Options{MaxThreads: workers}, func(rt *Runtime, tc exec.TC) {
+		total := 0
+		rt.Parallel(tc, workers, func(w *Worker) {
+			for k := 0; k < iters; k++ {
+				w.Atomic(func() { total++ })
+			}
+		})
+		if total != workers*iters {
+			t.Errorf("total = %d, want %d", total, workers*iters)
+		}
+	})
+}
+
 func TestSingleRunsOnce(t *testing.T) {
 	forBothLayers(t, Options{MaxThreads: 8, Bind: true}, func(rt *Runtime, tc exec.TC) {
 		var singles atomic.Int64

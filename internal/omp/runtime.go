@@ -587,6 +587,8 @@ type Runtime struct {
 
 	critMu   sync.Mutex
 	critical map[string]*critEntry
+	// atomicMu serializes Atomic bodies across the runtime's teams.
+	atomicMu sync.Mutex
 
 	// lockSeq, taskSeq and groupSeq hand out lock, explicit-task and
 	// taskgroup ids for the spine's Obj field.

@@ -21,10 +21,17 @@ func (w *Worker) Critical(name string, fn func()) {
 }
 
 // Atomic executes fn as an atomic update; updates to the shared location
-// serialize on its cache line across the team.
+// serialize on its cache line across the team. fn runs under the
+// runtime's atomic mutex, so bodies exclude each other on the real layer
+// (nested teams included); on the sim, where one proc runs at a time,
+// the mutex is never contended. fn must not block: a body that parks on
+// the sim would hold the mutex while another proc runs.
 func (w *Worker) Atomic(fn func()) {
 	c := w.tc.Costs()
 	w.tc.Contend(&w.team.atomicLine, c.AtomicRMWNS+c.CacheLineXferNS)
+	mu := &w.team.rt.atomicMu
+	mu.Lock()
+	defer mu.Unlock()
 	fn()
 }
 

@@ -245,10 +245,13 @@ func (w *Worker) runTaskBodyCaught(t *task) {
 	w.emitTask(ompt.TaskComplete, t.id, 0)
 }
 
-// finishTask propagates completion: dependent successors are released
-// first (so they are findable before any waiter is woken), then the
-// parent, the taskgroup, and the team are notified.
+// finishTask propagates completion: the task is counted in TasksRun
+// before any waiter can be released (a taskwait or taskgroup that returns
+// sees its tasks counted), dependent successors are released next (so
+// they are findable before any waiter is woken), then the parent, the
+// taskgroup, and the team are notified.
 func (w *Worker) finishTask(t *task) {
+	t.team.rt.TasksRun.Add(1)
 	w.releaseDeps(t)
 	if p := t.parent; p != nil {
 		p.children.Add(^uint32(0))
@@ -264,7 +267,6 @@ func (w *Worker) finishTask(t *task) {
 	// The task's own team is credited — a cross-team thief must drain
 	// the victim team's pending count, not its own.
 	t.team.pending.Add(^uint32(0))
-	t.team.rt.TasksRun.Add(1)
 }
 
 // runOneTask executes one ready task: own deque first (bottom), then

@@ -1,10 +1,17 @@
+//go:build go1.23
+
+// The build constraint raises this file's language version to go1.23,
+// where iter.Pull appeared, while go.mod stays at go 1.22: the perfbench
+// module requires this one and is itself at go 1.22.
+
 // Package sim implements a deterministic discrete-event simulator with
 // cooperative simulated threads ("procs"), per-CPU timelines, wait queues,
 // and a seeded random source.
 //
 // The simulator is the substrate for every simulated kernel environment in
-// this repository (the Nautilus-analogue and the Linux-analogue). It runs
-// exactly one proc at a time, so all state touched from proc code is
+// this repository (the Nautilus-analogue and the Linux-analogue). Each
+// proc is a coroutine (iter.Pull) that the caller of Run resumes, and
+// exactly one proc runs at a time, so all state touched from proc code is
 // race-free and every run with the same seed is bit-identical.
 //
 // Time is virtual and measured in nanoseconds (the Time alias). A proc
@@ -21,6 +28,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
 	"runtime"
@@ -94,7 +102,7 @@ func (s ProcState) String() string {
 	}
 }
 
-// Proc is a simulated thread of execution, backed by a goroutine that runs
+// Proc is a simulated thread of execution, backed by a coroutine that runs
 // cooperatively under the simulator's control.
 type Proc struct {
 	ID   int
@@ -105,7 +113,12 @@ type Proc struct {
 	state ProcState
 	now   Time // proc-local clock: the virtual time it has reached
 
-	resume chan struct{}
+	// resume switches from the trampoline (Run's caller) into the proc's
+	// coroutine until it blocks or exits; yield, called by the proc,
+	// switches back; stop releases a coroutine unwound by Goexit.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
 
 	// Diagnostics: what the proc is blocked on and since when (valid
 	// while state == StateBlocked).
@@ -170,9 +183,11 @@ type Sim struct {
 	cpus   []*CPU
 	nextID int
 
-	// One goroutine holds control at a time, Run's caller or a proc; it
-	// passes on by a send to a proc's resume, or to yield for Run's caller.
-	yield   chan struct{} // -> Run/RunUntil: "the event loop stopped"
+	// One goroutine holds control at a time: the trampoline (Run's
+	// caller) or a proc coroutine it resumed. A proc that stops running
+	// leaves the next proc to resume (nil: the loop stopped) in pending
+	// and yields to the trampoline.
+	pending *Proc
 	running *Proc
 	live    int           // procs not yet done
 	procs   map[int]*Proc // all live procs, for diagnostics and Kill
@@ -219,7 +234,6 @@ func NewEQ(ncpu int, seed int64, algo EQAlgo) *Sim {
 	s := &Sim{
 		algo:       algo,
 		rng:        rand.New(rand.NewSource(seed)),
-		yield:      make(chan struct{}),
 		procs:      make(map[int]*Proc),
 		wdEarliest: math.MaxInt64,
 	}
@@ -371,15 +385,20 @@ func (s *Sim) Go(name string, cpu int, start Time, fn func(p *Proc)) *Proc {
 		panic(fmt.Sprintf("sim: Go on CPU %d beyond %d CPUs", cpu, len(s.cpus)))
 	}
 	s.nextID++
-	p := &Proc{ID: s.nextID, Name: name, sim: s, cpu: cpu, state: StateNew, resume: make(chan struct{})}
+	p := &Proc{ID: s.nextID, Name: name, sim: s, cpu: cpu, state: StateNew}
 	s.live++
 	s.procs[p.ID] = p
 	if start < s.now {
 		start = s.now
 	}
-	go func() {
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		returned := false
 		// The deferred exit also runs if fn unwinds via runtime.Goexit
-		// (t.Fatal, or Kill), so control always passes on from a proc.
+		// (t.Fatal, or Kill). iter.Pull would re-raise that Goexit at Run's
+		// caller, so the proc yields once more instead, and the trampoline
+		// releases its goroutine with stop. A panic passes through to
+		// Run's caller.
 		defer func() {
 			if r := recover(); r != nil {
 				panic(r)
@@ -387,13 +406,16 @@ func (s *Sim) Go(name string, cpu int, start Time, fn func(p *Proc)) *Proc {
 			p.state = StateDone
 			s.live--
 			delete(s.procs, p.ID)
-			s.handoff(s.next())
+			s.pending = s.next()
+			if !returned {
+				yield(struct{}{})
+			}
 		}()
-		<-p.resume // wait for first dispatch
 		if !p.killed {
 			fn(p)
 		}
-	}()
+		returned = true
+	})
 	p.state = StateRunnable
 	s.schedule(start, p, nil)
 	return p
@@ -448,23 +470,16 @@ func (s *Sim) next() *Proc {
 	}
 }
 
-// handoff passes control to proc q, or back to Run's caller when q is nil.
-// The caller must not touch simulator state afterwards.
-func (s *Sim) handoff(q *Proc) {
-	if q == nil {
-		s.yield <- struct{}{}
-	} else {
-		q.resume <- struct{}{}
-	}
-}
-
-// drive starts the event loop from Run's caller; procs carry it on, and
-// control returns here once it stops.
+// drive is the trampoline: it starts the event loop from Run's caller and
+// resumes each proc the loop names, until the loop stops. A proc that
+// yields once done is unwinding from a Goexit: stop finishes that unwind
+// on a throwaway goroutine, which the Goexit iter.Pull re-raises ends.
 func (s *Sim) drive(until Time) {
 	s.until, s.err = until, nil
-	if p := s.next(); p != nil {
-		s.handoff(p)
-		<-s.yield
+	for p := s.next(); p != nil; p = s.pending {
+		if _, ok := p.resume(); ok && p.state == StateDone {
+			go p.stop()
+		}
 	}
 }
 
@@ -636,9 +651,9 @@ func (p *Proc) mustBeRunning() {
 
 // block parks the proc and runs the event loop on its goroutine until
 // some proc is due: itself (an uncontended Compute or Sleep resumes with
-// no goroutine switch at all), another proc (resumed directly), or none
-// (control returns to Run's caller). A proc condemned by Kill exits here
-// instead of resuming; the deferred exit in Go hands control on.
+// no switch at all), or another proc or none, which the proc leaves in
+// pending for the trampoline as it yields. A proc condemned by Kill exits
+// here instead of resuming; the deferred exit in Go hands control on.
 func (p *Proc) block(reason string) {
 	s := p.sim
 	p.state = StateBlocked
@@ -648,8 +663,8 @@ func (p *Proc) block(reason string) {
 		s.countBlockedNoEvent(p)
 	}
 	if q := s.next(); q != p {
-		s.handoff(q)
-		<-p.resume
+		s.pending = q
+		p.yield(struct{}{})
 	}
 	if p.killed {
 		runtime.Goexit()

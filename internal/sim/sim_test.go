@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestSingleProcAdvancesTime(t *testing.T) {
@@ -628,5 +629,180 @@ func TestHandoffDeadlockNamesBlockedProcs(t *testing.T) {
 	}
 	if n := len(s.Procs()); n != 3 {
 		t.Fatalf("%d live procs, want the 3 deadlocked", n)
+	}
+}
+
+// A panic in a proc is re-raised by Run at its caller, with the value the
+// proc panicked with, and the caller can recover it.
+func TestProcPanicReraisedAtRun(t *testing.T) {
+	type boom struct{ at Time }
+	s := New(2, 1)
+	s.Go("bystander", 1, 0, func(p *Proc) { p.Compute(1000) })
+	s.Go("panicker", 0, 0, func(p *Proc) {
+		p.Compute(100)
+		panic(boom{p.Now()})
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_ = s.Run()
+		t.Error("Run returned normally after a proc panic")
+	}()
+	if got != (boom{100}) {
+		t.Fatalf("recovered %#v, want boom{at:100}", got)
+	}
+}
+
+// runCaught calls Run on a fresh goroutine and reports whether Run
+// returned to it: a Goexit that escaped a proc would unwind that
+// goroutine before the flag is set.
+func runCaught(s *Sim) (err error, returned bool) {
+	done := make(chan bool)
+	go func() {
+		ok := false
+		defer func() { done <- ok }()
+		err = s.Run()
+		ok = true
+	}()
+	returned = <-done
+	return err, returned
+}
+
+// A proc that calls runtime.Goexit in its body and a proc killed by Kill
+// both retire, and Run returns normally to a caller that survives them.
+func TestGoexitAndKillLeaveRunCallerRunning(t *testing.T) {
+	s := New(2, 1)
+	after := false
+	exiter := s.Go("goexit", 0, 0, func(p *Proc) {
+		p.Compute(100)
+		runtime.Goexit()
+	})
+	victim := s.Go("victim", 1, 0, func(p *Proc) {
+		p.Park()
+		after = true
+	})
+	var woke Time
+	s.Go("killer", -1, 0, func(p *Proc) {
+		p.Sleep(200)
+		s.Kill(victim)
+		p.Sleep(300)
+		woke = p.Now()
+	})
+	err, returned := runCaught(s)
+	if !returned {
+		t.Fatal("a proc's Goexit unwound Run's caller")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exiter.State() != StateDone || victim.State() != StateDone || after || woke != 500 {
+		t.Fatalf("states %v/%v, victim resumed=%v, killer woke at %d; want done/done, false, 500",
+			exiter.State(), victim.State(), after, woke)
+	}
+	if s.live != 0 || len(s.Procs()) != 0 {
+		t.Fatalf("live=%d procs=%d after Run, want 0 0", s.live, len(s.Procs()))
+	}
+}
+
+// Once every proc of a sim finished, exited by Goexit or was killed, no
+// goroutine of the sim outlives it.
+func TestFinishedSimLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := New(2, 1)
+	q := NewWaitQueue(s)
+	var victims []*Proc
+	for i := 0; i < 8; i++ {
+		s.Go("done", i%2, 0, func(p *Proc) { p.Compute(Time(10 * (i + 1))) })
+		s.Go("goexit", i%2, 0, func(p *Proc) {
+			p.Compute(5)
+			runtime.Goexit()
+		})
+		victims = append(victims, s.Go("victim", -1, 0, func(p *Proc) { q.Wait(p) }))
+	}
+	s.Go("killer", -1, 0, func(p *Proc) {
+		p.Sleep(50)
+		for _, v := range victims {
+			s.Kill(v)
+		}
+	})
+	if err, returned := runCaught(s); err != nil || !returned {
+		t.Fatalf("Run = %v, returned=%v", err, returned)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the sim, want the %d before it", n, base)
+	}
+}
+
+// A proc of one sim can run another sim to completion: the inner sim's
+// procs resume from the outer proc's goroutine, in the same order as when
+// the inner sim runs on its own, and the outer sim carries on after.
+func TestNestedSimRunsFromProc(t *testing.T) {
+	want := resumeTraceHash(t, EQWheel, 1)
+	outer := New(2, 1)
+	var got uint64
+	var hostEnd, peerEnd Time
+	outer.Go("host", 0, 0, func(p *Proc) {
+		p.Compute(100)
+		got = resumeTraceHash(t, EQWheel, 1)
+		p.Compute(100)
+		hostEnd = p.Now()
+	})
+	outer.Go("peer", 1, 0, func(p *Proc) {
+		for i := 0; i < 5; i++ {
+			p.Compute(60)
+		}
+		peerEnd = p.Now()
+	})
+	if err := outer.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("nested resume trace hash %#x, want %#x as run standalone", got, want)
+	}
+	if hostEnd != 200 || peerEnd != 300 || outer.Now() != 300 {
+		t.Fatalf("outer ends host=%d peer=%d now=%d, want 200 300 300", hostEnd, peerEnd, outer.Now())
+	}
+}
+
+// Successive RunUntil calls may come from different goroutines: the procs
+// resume where they left off, whichever goroutine drives them.
+func TestRunUntilFromDifferentGoroutines(t *testing.T) {
+	s := New(2, 1)
+	var woke []Time
+	var ping, pong *Proc
+	ping = s.Go("ping", 0, 0, func(p *Proc) {
+		for i := 0; i < 6; i++ {
+			p.Compute(150)
+			woke = append(woke, p.Now())
+			if pong.State() == StateBlocked {
+				s.Unpark(pong, p.Now())
+			}
+		}
+	})
+	pong = s.Go("pong", 1, 0, func(p *Proc) {
+		for ping.State() != StateDone {
+			p.Park()
+		}
+	})
+	for i := 1; i <= 4; i++ {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.RunUntil(Time(i) * 250)
+		}()
+		<-done
+		if s.Now() != Time(i)*250 {
+			t.Fatalf("after RunUntil(%d) now = %d", i*250, s.Now())
+		}
+	}
+	if fmt.Sprint(woke) != "[150 300 450 600 750 900]" {
+		t.Fatalf("ping woke at %v, want every 150ns to 900", woke)
+	}
+	if err := s.Run(); err != nil || len(s.Procs()) != 0 {
+		t.Fatalf("Run = %v with %d procs left", err, len(s.Procs()))
 	}
 }
