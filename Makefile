@@ -41,40 +41,38 @@ race-stress:
 figures:
 	go run ./cmd/kompbench -quick
 
-# golden-check regenerates every ablation at full scale and compares it
-# byte-for-byte against the checked-in ABLATIONS.txt: virtual results may
-# only move when a change means them to (then regenerate the file with
+# golden-check regenerates every ablation at full scale under both
+# simulator event queues (the timer wheel, and the binary heap kept as
+# its differential oracle) and compares each byte-for-byte against the
+# checked-in ABLATIONS.txt: virtual results may only move when a change
+# means them to (then regenerate the file with
 # `go run ./cmd/kompbench -ablation all > ABLATIONS.txt`).
 golden-check:
-	@mkdir -p /tmp/komp-golden
-	@go run ./cmd/kompbench -ablation all > /tmp/komp-golden/ABLATIONS.txt 2>/dev/null
-	@cmp /tmp/komp-golden/ABLATIONS.txt ABLATIONS.txt && \
-		echo "golden-check: ABLATIONS.txt byte-identical"
-
-# bench-smoke runs the EPCC figures, the barrier-topology, tasking and
-# affinity ablations, and the per-construct profile twice at -quick scale and
-# diffs the outputs byte-for-byte: stdout must be a pure function of the
-# seed (simulator determinism). Not part of `verify` (it costs a couple
-# of builds) but documented next to it in ROADMAP.md; run it when
-# touching the runtime's synchronization paths or the instrumentation
-# spine.
-bench-smoke:
-	@mkdir -p /tmp/komp-bench-smoke
-	@for run in 1 2; do \
-		( go run ./cmd/kompbench -quick -figure fig7 && \
-		  go run ./cmd/kompbench -quick -figure fig13 && \
-		  go run ./cmd/kompbench -quick -ablation barrier && \
-		  go run ./cmd/kompbench -quick -ablation tasking && \
-		  go run ./cmd/kompbench -quick -ablation affinity && \
-		  go run ./cmd/kompbench -quick -ablation cancel && \
-		  go run ./cmd/kompbench -quick -ablation simcore && \
-		  go run ./cmd/kompbench -quick -ablation nested && \
-		  go run ./cmd/kompbench -quick -ablation tenancy && \
-		  go run ./cmd/kompbench -quick -ablation offload && \
-		  go run ./cmd/kompbench -quick -profile ) \
-		  > /tmp/komp-bench-smoke/run$$run.txt 2>/dev/null || exit 1; \
+	@dir=$${TMPDIR:-/tmp}/komp-golden && mkdir -p $$dir && \
+	go build -o $$dir/kompbench ./cmd/kompbench && \
+	for eq in wheel heap; do \
+		KOMP_SIM_EQ=$$eq $$dir/kompbench -ablation all > $$dir/ABLATIONS.txt 2>/dev/null && \
+		cmp $$dir/ABLATIONS.txt ABLATIONS.txt || exit 1; \
+		echo "golden-check: ABLATIONS.txt byte-identical (KOMP_SIM_EQ=$$eq)"; \
 	done
-	@cmp /tmp/komp-bench-smoke/run1.txt /tmp/komp-bench-smoke/run2.txt && \
+
+# bench-smoke runs the EPCC figures, every ablation, and the
+# per-construct profile twice at -quick scale and diffs the outputs
+# byte-for-byte: stdout must be a pure function of the seed (simulator
+# determinism). Not part of `verify` (it costs a couple of minutes) but
+# documented next to it in ROADMAP.md; run it when touching the
+# runtime's synchronization paths or the instrumentation spine.
+bench-smoke:
+	@dir=$${TMPDIR:-/tmp}/komp-bench-smoke && mkdir -p $$dir && \
+	go build -o $$dir/kompbench ./cmd/kompbench && \
+	for run in 1 2; do \
+		( $$dir/kompbench -quick -figure fig7 && \
+		  $$dir/kompbench -quick -figure fig13 && \
+		  $$dir/kompbench -quick -ablation all && \
+		  $$dir/kompbench -quick -profile ) \
+		  > $$dir/run$$run.txt 2>/dev/null || exit 1; \
+	done; \
+	cmp $$dir/run1.txt $$dir/run2.txt && \
 		echo "bench-smoke: two runs byte-identical"
 
 # trace-smoke re-renders the synthetic spine stream through the Chrome

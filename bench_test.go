@@ -120,6 +120,30 @@ func BenchmarkOMPBarrierSim(b *testing.B) {
 	}
 }
 
+// BenchmarkOMPForkJoinSim measures fork/join of an empty region on a
+// 192-thread hot team on the simulated 8XEON (one region per op): the
+// per-region cost of the NAS figures' team, with no work in the region.
+// The first region builds the team and is not timed.
+func BenchmarkOMPForkJoinSim(b *testing.B) {
+	env := core.New(core.Config{Machine: machine.XEON8(), Kind: core.RTK, Seed: 1, Threads: 192})
+	rt := env.OMPRuntime()
+	n := b.N
+	body := func(*omp.Worker) {}
+	b.ReportAllocs()
+	_, err := env.Layer.Run(func(tc exec.TC) {
+		rt.Parallel(tc, 192, body)
+		b.ResetTimer()
+		for i := 0; i < n; i++ {
+			rt.Parallel(tc, 192, body)
+		}
+		b.StopTimer()
+		rt.Close(tc)
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkOMPParallelForReal measures a real-goroutine worksharing loop.
 func BenchmarkOMPParallelForReal(b *testing.B) {
 	o := New(4)

@@ -110,6 +110,12 @@ type clDeque struct {
 	// top — thief steals and the owner's last-element race — serializes
 	// here in the simulated timeline.
 	topLine exec.Line
+
+	// Owner-only reset bookkeeping: every slot written since the last
+	// reset lies in [clean, high), where high is the largest bottom a
+	// push published. A region that pushed nothing leaves clean == high,
+	// so its reset clears no slot.
+	clean, high int64
 }
 
 // clInitialCap is the initial ring capacity (must be a power of two).
@@ -142,6 +148,9 @@ func (d *clDeque) push(tc exec.TC, t *task) {
 	}
 	r.put(b, t)
 	d.bottom.Store(b + 1)
+	if b >= d.high {
+		d.high = b + 1
+	}
 	tc.Charge(tc.Costs().AtomicRMWNS)
 }
 
@@ -176,11 +185,14 @@ func (d *clDeque) reset() {
 		d.ring.Store(newCLRing(clInitialCap))
 	} else {
 		// Drop stale task pointers so a drained region's tasks are
-		// collectable (a fresh ring starts nil-slotted too).
-		for i := range r.slot {
-			r.slot[i].Store(nil)
+		// collectable (a fresh ring starts nil-slotted too). Only the
+		// slots pushed since the last reset can hold one.
+		for i := d.clean; i < d.high && i < d.clean+clInitialCap; i++ {
+			r.put(i, nil)
 		}
 	}
+	d.clean = d.bottom.Load()
+	d.high = d.clean
 	d.topLine = exec.Line{}
 }
 

@@ -82,6 +82,75 @@ func TestCLDequePushPopZeroAlloc(t *testing.T) {
 	}
 }
 
+// requireNoStaleSlots fails if any slot of the deque's current ring
+// still holds a task pointer.
+func requireNoStaleSlots(t *testing.T, d *clDeque, when string) {
+	t.Helper()
+	r := d.ring.Load()
+	for i := range r.slot {
+		if r.slot[i].Load() != nil {
+			t.Fatalf("%s: slot %d of %d still holds a task after reset", when, i, r.capacity())
+		}
+	}
+}
+
+func TestCLDequeResetClearsPushedSlots(t *testing.T) {
+	// reset clears only the slots pushed since the previous reset; the
+	// high-water mark must cover slots whose task already left through
+	// pop or steal (bottom is back below it), across ring wrap-around
+	// and after a grown ring was replaced.
+	layer := exec.NewRealLayer(1)
+	if _, err := layer.Run(func(tc exec.TC) {
+		d := newCLDeque()
+		d.push(tc, &task{})
+		d.push(tc, &task{})
+		d.pop(tc)
+		d.pop(tc)
+		d.reset()
+		requireNoStaleSlots(t, d, "push, push, pop, pop")
+
+		// Wrap the ring: indices run past clInitialCap.
+		for i := 0; i < clInitialCap-3; i++ {
+			d.push(tc, &task{})
+			d.pop(tc)
+		}
+		for i := 0; i < 9; i++ {
+			d.push(tc, &task{})
+		}
+		d.steal(tc)
+		for d.pop(tc) != nil {
+		}
+		d.reset()
+		requireNoStaleSlots(t, d, "wrapped ring")
+
+		// Grow, drain and reset (the ring is replaced), then reuse.
+		for i := 0; i < clInitialCap*2+3; i++ {
+			d.push(tc, &task{})
+		}
+		for d.pop(tc) != nil {
+		}
+		d.reset()
+		if d.ring.Load().capacity() != clInitialCap {
+			t.Fatalf("reset left capacity %d, want %d", d.ring.Load().capacity(), clInitialCap)
+		}
+		requireNoStaleSlots(t, d, "after growth")
+		d.push(tc, &task{})
+		d.push(tc, &task{})
+		d.pop(tc)
+		d.pop(tc)
+		d.reset()
+		requireNoStaleSlots(t, d, "push, push, pop, pop after growth")
+
+		// A region that pushed nothing has nothing to clear.
+		d.reset()
+		if d.clean != d.high || d.clean != d.bottom.Load() {
+			t.Fatalf("empty region: clean=%d high=%d bottom=%d", d.clean, d.high, d.bottom.Load())
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func BenchmarkCLDequePushPop(b *testing.B) {
 	layer := exec.NewRealLayer(1)
 	if _, err := layer.Run(func(tc exec.TC) {

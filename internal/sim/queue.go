@@ -164,9 +164,12 @@ func (q *heapQueue) size() int { return len(q.h) }
 // events of a single timestamp (two times with the same ring index
 // differ by a multiple of wheelSpan, which cannot both be inside the
 // window), so FIFO order within a bucket IS (at, seq) order: seq grows
-// monotonically and every insertion appends at the tail.
+// monotonically and every insertion appends at the tail. 4096 buckets
+// (64 KiB) stay cache-resident, and fork, barrier and futex delays are a
+// few µs, so most events still land in the window (DESIGN §9 has the
+// measured shares).
 const (
-	wheelBits = 16
+	wheelBits = 12
 	wheelSize = 1 << wheelBits // buckets (and ns of horizon)
 	wheelMask = wheelSize - 1
 	wheelSpan = Time(wheelSize)
@@ -179,17 +182,18 @@ type wbucket struct {
 
 // wheelQueue indexes near-future events by timestamp delta in wheel
 // buckets and keeps far-future events in a sorted spill heap. A
-// three-level bitmap (64-ary) over the buckets finds the next non-empty
-// bucket in a handful of word scans, so the simulator's "jump to next
-// event" stays O(1)-ish even when the horizon is sparse.
+// two-level bitmap (64 words plus one summary word) over the buckets
+// finds the next non-empty bucket in at most two word scans, so the
+// simulator's "jump to next event" stays O(1) even when the horizon is
+// sparse.
 //
 // Invariants:
 //   - cur is the timestamp of the last popped event (the DES clock as the
 //     queue has observed it); every queued event has at >= cur.
 //   - every bucket-resident event has at - cur < wheelSpan;
-//   - spill events had at - cur >= wheelSpan when last examined; migrate
-//     moves them into the wheel as cur advances (order-preserving: the
-//     spill pops in (at, seq) order and appends to bucket tails).
+//   - every spill event has at - cur >= wheelSpan: migrate runs right
+//     after every advance of cur, so a spill event reaches its bucket
+//     before any later push can target the same timestamp directly.
 type wheelQueue struct {
 	cur Time
 	n   int // total queued events (buckets + chain + spill)
@@ -199,10 +203,9 @@ type wheelQueue struct {
 	// drain, and subsequent pops walk the chain with no bitmap search.
 	chain *eventNode
 
-	buckets []wbucket
-	l0      []uint64 // wheelSize bits
-	l1      []uint64 // one bit per l0 word
-	l2      uint64   // one bit per l1 word
+	buckets [wheelSize]wbucket
+	l0      [wheelSize / 64]uint64 // one bit per bucket
+	l1      uint64                 // one bit per l0 word
 	spill   spillHeap
 
 	// spilled counts events that took the far-future path (diagnostics
@@ -210,28 +213,18 @@ type wheelQueue struct {
 	spilled int64
 }
 
-func newWheelQueue() *wheelQueue {
-	return &wheelQueue{
-		buckets: make([]wbucket, wheelSize),
-		l0:      make([]uint64, wheelSize/64),
-		l1:      make([]uint64, wheelSize/64/64),
-	}
-}
+func newWheelQueue() *wheelQueue { return &wheelQueue{} }
 
 func (q *wheelQueue) setBit(i int) {
 	q.l0[i>>6] |= 1 << uint(i&63)
-	q.l1[i>>12] |= 1 << uint((i>>6)&63)
-	q.l2 |= 1 << uint(i>>12)
+	q.l1 |= 1 << uint(i>>6)
 }
 
 func (q *wheelQueue) clearBit(i int) {
 	w := i >> 6
 	q.l0[w] &^= 1 << uint(i&63)
 	if q.l0[w] == 0 {
-		q.l1[w>>6] &^= 1 << uint(w&63)
-		if q.l1[w>>6] == 0 {
-			q.l2 &^= 1 << uint(w>>6)
-		}
+		q.l1 &^= 1 << uint(w)
 	}
 }
 
@@ -243,14 +236,8 @@ func (q *wheelQueue) nextFrom(i int) int {
 	if x := q.l0[w] >> uint(i&63); x != 0 {
 		return i + bits.TrailingZeros64(x)
 	}
-	w1 := w >> 6
-	if x := q.l1[w1] & (^uint64(0) << uint(w&63+1)); x != 0 {
-		w = w1<<6 | bits.TrailingZeros64(x)
-		return w<<6 | bits.TrailingZeros64(q.l0[w])
-	}
-	if x := q.l2 & (^uint64(0) << uint(w1+1)); x != 0 {
-		w1 = bits.TrailingZeros64(x)
-		w = w1<<6 | bits.TrailingZeros64(q.l1[w1])
+	if x := q.l1 & (^uint64(0) << uint(w+1)); x != 0 {
+		w = bits.TrailingZeros64(x)
 		return w<<6 | bits.TrailingZeros64(q.l0[w])
 	}
 	return -1
@@ -259,7 +246,7 @@ func (q *wheelQueue) nextFrom(i int) int {
 // nextBucket returns the index of the bucket holding the earliest wheel
 // event. The circular scan starts at cur's ring position: ring order
 // from there is timestamp order, because the window is at most wheelSpan
-// wide. Must only be called when the wheel is non-empty (l2 != 0).
+// wide. Must only be called when the wheel is non-empty (l1 != 0).
 func (q *wheelQueue) nextBucket() int {
 	start := int(q.cur) & wheelMask
 	if i := q.nextFrom(start); i >= 0 {
@@ -281,10 +268,13 @@ func (q *wheelQueue) bucketInsert(n *eventNode) {
 	b.tail = n
 }
 
-// migrate refills the wheel from the spill as the clock advances. The
-// spill pops in (at, seq) order, so same-timestamp spill events land in
-// their bucket in seq order; and any event scheduled directly into that
-// bucket later necessarily carries a larger seq, so FIFO stays correct.
+// migrate refills the wheel from the spill; it runs right after every
+// advance of cur. The spill pops in (at, seq) order, so same-timestamp
+// spill events land in their bucket in seq order. A push can target a
+// timestamp directly only once it is inside the window, i.e. after the
+// advance that brought it there, whose migrate already moved every
+// spill event of that timestamp into the bucket: the direct push
+// carries a larger seq and appends behind them, so FIFO stays correct.
 func (q *wheelQueue) migrate() {
 	for q.spill.size() > 0 && q.spill.min().at-q.cur < wheelSpan {
 		q.bucketInsert(q.spill.pop())
@@ -302,40 +292,37 @@ func (q *wheelQueue) push(n *eventNode) {
 }
 
 func (q *wheelQueue) pop() *eventNode {
-	if n := q.chain; n != nil {
+	n := q.chain
+	switch {
+	case n != nil:
 		q.chain = n.next
 		n.next = nil
 		q.n--
 		return n
-	}
-	q.migrate()
-	if q.l2 != 0 {
+	case q.l1 != 0:
 		i := q.nextBucket()
 		b := &q.buckets[i]
-		n := b.head
+		n = b.head
 		q.chain = n.next
 		n.next = nil
 		b.head, b.tail = nil, nil
 		q.clearBit(i)
-		q.cur = n.at
-		q.n--
-		return n
+	case q.spill.size() > 0:
+		n = q.spill.pop()
+	default:
+		return nil
 	}
-	if q.spill.size() > 0 {
-		n := q.spill.pop()
-		q.cur = n.at
-		q.n--
-		return n
-	}
-	return nil
+	q.cur = n.at
+	q.n--
+	q.migrate()
+	return n
 }
 
 func (q *wheelQueue) peekTime() (Time, bool) {
 	if q.chain != nil {
 		return q.chain.at, true
 	}
-	q.migrate()
-	if q.l2 != 0 {
+	if q.l1 != 0 {
 		return q.buckets[q.nextBucket()].head.at, true
 	}
 	if q.spill.size() > 0 {

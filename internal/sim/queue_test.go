@@ -47,65 +47,111 @@ func TestEQFromEnv(t *testing.T) {
 	EQFromEnv()
 }
 
+// fuzzGrid is the timestamp grid of the differential fuzzers' collision
+// mode: a quarter of the wheel span, so an event that spilled (pushed a
+// span or more ahead) often shares its timestamp with one pushed directly
+// after the clock has advanced — the interleaving that exposes a
+// migration running at the wrong moment.
+const fuzzGrid = wheelSpan / 4
+
+// gridUp rounds t up to the next multiple of fuzzGrid.
+func gridUp(t Time) Time { return (t + fuzzGrid - 1) / fuzzGrid * fuzzGrid }
+
 // TestQueueDifferentialFuzz drives the wheel and the heap baseline with
-// the same randomized push/pop stream (timestamps spanning same-time
-// storms, the wheel window, and far-beyond-horizon spills) and demands
-// identical (at, seq) pop order — the determinism property that makes
-// the trace byte-identity guarantee hold by construction.
+// the same randomized push/pop stream and demands identical (at, seq)
+// pop order — the determinism property that makes the trace
+// byte-identity guarantee hold by construction. The spread mode mixes
+// same-time storms, the wheel window, and far-beyond-horizon spills;
+// the grid mode snaps times to fuzzGrid within a few spans, so spilled
+// and direct events collide on the same timestamp. The peek is checked
+// before each pop, after the pushes, so it cannot repair the queue's
+// state between an advance and the pushes that follow it.
 func TestQueueDifferentialFuzz(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		wheel := newWheelQueue()
-		heap := &heapQueue{}
-		var cur Time // queue invariant: pushes never precede the last pop
-		var seq uint64
-		for op := 0; op < 20_000; op++ {
-			if rng.Intn(3) != 0 || heap.size() == 0 {
-				var d Time
-				switch rng.Intn(4) {
-				case 0:
-					d = Time(rng.Intn(4)) // same-timestamp storm
-				case 1:
-					d = Time(rng.Intn(int(wheelSpan))) // in-window
-				case 2:
-					d = wheelSpan + Time(rng.Intn(1_000_000)) // spill
-				default:
-					d = Time(rng.Intn(20_000_000)) // anywhere
-				}
-				seq++
-				wheel.push(&eventNode{at: cur + d, seq: seq})
-				heap.push(&eventNode{at: cur + d, seq: seq})
-				continue
-			}
-			hw, hh := wheel.pop(), heap.pop()
-			if hw.at != hh.at || hw.seq != hh.seq {
-				t.Fatalf("seed %d op %d: wheel popped (%d,%d), heap (%d,%d)",
-					seed, op, hw.at, hw.seq, hh.at, hh.seq)
-			}
-			cur = hw.at
-			pw, okw := wheel.peekTime()
-			ph, okh := heap.peekTime()
-			if okw != okh || pw != ph {
-				t.Fatalf("seed %d op %d: peek wheel (%d,%v) heap (%d,%v)",
-					seed, op, pw, okw, ph, okh)
-			}
-			if wheel.size() != heap.size() {
-				t.Fatalf("seed %d op %d: size wheel %d heap %d",
-					seed, op, wheel.size(), heap.size())
-			}
+	for _, grid := range []bool{false, true} {
+		for seed := int64(1); seed <= 8; seed++ {
+			queueFuzz(t, seed, grid)
 		}
-		for {
-			hw, hh := wheel.pop(), heap.pop()
-			if hw == nil || hh == nil {
-				if hw != hh {
-					t.Fatalf("seed %d: drain length mismatch", seed)
-				}
-				break
+	}
+}
+
+func queueFuzz(t *testing.T, seed int64, grid bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	wheel := newWheelQueue()
+	heap := &heapQueue{}
+	var cur Time // queue invariant: pushes never precede the last pop
+	var seq uint64
+	for op := 0; op < 20_000; op++ {
+		if rng.Intn(3) != 0 || heap.size() == 0 {
+			var at Time
+			switch k := rng.Intn(4); {
+			case k == 0:
+				at = cur + Time(rng.Intn(4)) // same-timestamp storm
+			case grid:
+				at = gridUp(cur) + Time(rng.Intn(12))*fuzzGrid
+			case k == 1:
+				at = cur + Time(rng.Intn(int(wheelSpan))) // in-window
+			case k == 2:
+				at = cur + wheelSpan + Time(rng.Intn(1_000_000)) // spill
+			default:
+				at = cur + Time(rng.Intn(20_000_000)) // anywhere
 			}
-			if hw.at != hh.at || hw.seq != hh.seq {
-				t.Fatalf("seed %d drain: wheel (%d,%d) heap (%d,%d)",
-					seed, hw.at, hw.seq, hh.at, hh.seq)
+			seq++
+			wheel.push(&eventNode{at: at, seq: seq})
+			heap.push(&eventNode{at: at, seq: seq})
+			continue
+		}
+		pw, okw := wheel.peekTime()
+		ph, okh := heap.peekTime()
+		if okw != okh || pw != ph {
+			t.Fatalf("seed %d grid %v op %d: peek wheel (%d,%v) heap (%d,%v)",
+				seed, grid, op, pw, okw, ph, okh)
+		}
+		hw, hh := wheel.pop(), heap.pop()
+		if hw.at != hh.at || hw.seq != hh.seq {
+			t.Fatalf("seed %d grid %v op %d: wheel popped (%d,%d), heap (%d,%d)",
+				seed, grid, op, hw.at, hw.seq, hh.at, hh.seq)
+		}
+		cur = hw.at
+		if wheel.size() != heap.size() {
+			t.Fatalf("seed %d grid %v op %d: size wheel %d heap %d",
+				seed, grid, op, wheel.size(), heap.size())
+		}
+	}
+	for {
+		hw, hh := wheel.pop(), heap.pop()
+		if hw == nil || hh == nil {
+			if hw != hh {
+				t.Fatalf("seed %d grid %v: drain length mismatch", seed, grid)
 			}
+			return
+		}
+		if hw.at != hh.at || hw.seq != hh.seq {
+			t.Fatalf("seed %d grid %v drain: wheel (%d,%d) heap (%d,%d)",
+				seed, grid, hw.at, hw.seq, hh.at, hh.seq)
+		}
+	}
+}
+
+// TestSpilledEventFiresBeforeLaterDirectPush is the regression test for
+// the wheel's spill-order bug: A is scheduled a span ahead (it spills),
+// and B for the same timestamp from an event at t=100, once that time is
+// inside the window (B goes straight into the bucket). A was scheduled
+// first, so it must fire first. The wheel fired [B A] when it migrated
+// the spill before advancing the clock instead of after.
+func TestSpilledEventFiresBeforeLaterDirectPush(t *testing.T) {
+	for _, algo := range []EQAlgo{EQWheel, EQHeap} {
+		s := NewEQ(1, 1, algo)
+		var got []string
+		s.At(wheelSpan+10, func() { got = append(got, "A") })
+		s.At(100, func() {
+			s.At(wheelSpan+10, func() { got = append(got, "B") })
+		})
+		if err := s.Run(); err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		if fmt.Sprint(got) != "[A B]" {
+			t.Errorf("%s: fire order %v, want [A B]", algo, got)
 		}
 	}
 }
@@ -121,19 +167,21 @@ type fireRec struct {
 // and procs exercising Compute/Sleep/Yield and Park/Unpark. Everything
 // is derived from the given rng seed, so two sims given the same seed
 // receive the identical workload.
-func buildFuzzWorkload(s *Sim, seed int64, trace *[]fireRec) {
+func buildFuzzWorkload(s *Sim, seed int64, grid bool, trace *[]fireRec) {
 	rng := rand.New(rand.NewSource(seed))
 	rec := func(tag int) { *trace = append(*trace, fireRec{s.Now(), tag}) }
 
 	for i := 0; i < 300; i++ {
 		tag := i
 		var at Time
-		switch rng.Intn(4) {
-		case 0:
+		switch k := rng.Intn(4); {
+		case k == 0:
 			at = Time(rng.Intn(64))
-		case 1:
+		case grid:
+			at = Time(rng.Intn(16)) * fuzzGrid
+		case k == 1:
 			at = Time(rng.Intn(int(wheelSpan)))
-		case 2:
+		case k == 2:
 			at = wheelSpan + Time(rng.Intn(2_000_000))
 		default:
 			at = Time(rng.Intn(10_000_000))
@@ -141,12 +189,22 @@ func buildFuzzWorkload(s *Sim, seed int64, trace *[]fireRec) {
 		if rng.Intn(3) == 0 {
 			hops := rng.Intn(3) + 1
 			step := Time(rng.Intn(200_000) + 1)
+			if grid {
+				step = Time(rng.Intn(int(2 * wheelSpan)))
+			}
 			var chain func()
 			chain = func() {
 				rec(tag)
 				if hops > 0 {
 					hops--
-					s.After(step, chain)
+					if grid {
+						// Re-arm on the grid, usually inside the window:
+						// a direct push onto a timestamp that events
+						// scheduled at t=0 reached through the spill.
+						s.At(gridUp(s.Now()+step), chain)
+					} else {
+						s.After(step, chain)
+					}
 				}
 			}
 			s.At(at, chain)
@@ -215,34 +273,38 @@ func buildFuzzWorkload(s *Sim, seed int64, trace *[]fireRec) {
 // TestSimDifferentialFuzz runs the full randomized workload on a
 // wheel-backed and a heap-backed simulator and requires the event-firing
 // traces — (virtual time, tag) for every callback and proc step — to be
-// identical, along with the fired-event totals and final clocks.
+// identical, along with the fired-event totals and final clocks. The
+// grid mode snaps callback times to fuzzGrid, so spilled callbacks share
+// timestamps with ones re-armed directly into the window later.
 func TestSimDifferentialFuzz(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		var traces [2][]fireRec
-		var fired [2]int64
-		var final [2]Time
-		for i, algo := range []EQAlgo{EQWheel, EQHeap} {
-			s := NewEQ(8, 42, algo)
-			buildFuzzWorkload(s, seed, &traces[i])
-			if err := s.Run(); err != nil {
-				t.Fatalf("seed %d %s: Run: %v", seed, algo, err)
+	for _, grid := range []bool{false, true} {
+		for seed := int64(1); seed <= 6; seed++ {
+			var traces [2][]fireRec
+			var fired [2]int64
+			var final [2]Time
+			for i, algo := range []EQAlgo{EQWheel, EQHeap} {
+				s := NewEQ(8, 42, algo)
+				buildFuzzWorkload(s, seed, grid, &traces[i])
+				if err := s.Run(); err != nil {
+					t.Fatalf("seed %d grid %v %s: Run: %v", seed, grid, algo, err)
+				}
+				fired[i] = s.EventsFired()
+				final[i] = s.Now()
 			}
-			fired[i] = s.EventsFired()
-			final[i] = s.Now()
-		}
-		if len(traces[0]) != len(traces[1]) {
-			t.Fatalf("seed %d: trace lengths wheel=%d heap=%d",
-				seed, len(traces[0]), len(traces[1]))
-		}
-		for j := range traces[0] {
-			if traces[0][j] != traces[1][j] {
-				t.Fatalf("seed %d: trace[%d] wheel=%+v heap=%+v",
-					seed, j, traces[0][j], traces[1][j])
+			if len(traces[0]) != len(traces[1]) {
+				t.Fatalf("seed %d grid %v: trace lengths wheel=%d heap=%d",
+					seed, grid, len(traces[0]), len(traces[1]))
 			}
-		}
-		if fired[0] != fired[1] || final[0] != final[1] {
-			t.Fatalf("seed %d: fired wheel=%d heap=%d, final wheel=%d heap=%d",
-				seed, fired[0], fired[1], final[0], final[1])
+			for j := range traces[0] {
+				if traces[0][j] != traces[1][j] {
+					t.Fatalf("seed %d grid %v: trace[%d] wheel=%+v heap=%+v",
+						seed, grid, j, traces[0][j], traces[1][j])
+				}
+			}
+			if fired[0] != fired[1] || final[0] != final[1] {
+				t.Fatalf("seed %d grid %v: fired wheel=%d heap=%d, final wheel=%d heap=%d",
+					seed, grid, fired[0], fired[1], final[0], final[1])
+			}
 		}
 	}
 }
